@@ -23,19 +23,11 @@
 //! under its time budget; the JSON is still written and validated.
 //!
 //! With `--fastpath` the suite instead produces
-//! `target/figures/BENCH_5.json`, the regression gate for the two
-//! serial-bottleneck fast paths this codebase layers on the thesis
-//! runtimes:
-//!
-//! * **checker epoch-summary pruning** — a clustered-access SPECCROSS
-//!   workload is simulated with the per-epoch aggregate fast path on and
-//!   off; full mode requires the per-admitted-task signature-comparison
-//!   count to drop by ≥5× and the critical path's checker-latency share
-//!   to shrink strictly;
-//! * **cross-invocation schedule memoization** — the periodic DOMORE
-//!   kernels (JACOBI's ping-pong grids, FDTD's three-sweep cycle) are
-//!   simulated with the schedule memo; full mode requires a ≥90%
-//!   schedule-cache hit rate on each.
+//! `target/figures/BENCH_5.json`, the regression gate for the checker's
+//! epoch-summary pruning: a clustered-access SPECCROSS workload is
+//! simulated with the per-epoch aggregate fast path on and off; full mode
+//! requires the per-admitted-task signature-comparison count to drop by
+//! ≥5× and the critical path's checker-latency share to shrink strictly.
 //!
 //! With `--shards` the suite produces `target/figures/BENCH_7.json`, the
 //! regression gate for the sharded checker: the same clustered SPECCROSS
@@ -137,7 +129,7 @@ use std::time::Instant;
 
 use crossinvoc::server::{RegionReport, RegionServer};
 use crossinvoc_bench::json::{self, Json};
-use crossinvoc_bench::{domore_policy, out_dir};
+use crossinvoc_bench::out_dir;
 use crossinvoc_domore::prelude::*;
 use crossinvoc_domore::runtime::ExecutionReport;
 use crossinvoc_runtime::fault::FaultPlan;
@@ -163,9 +155,6 @@ const BALANCED_TOLERANCE: f64 = 0.95;
 /// epoch-summary fast path must show on the clustered workload (BENCH_5,
 /// full mode).
 const PRUNING_THRESHOLD: f64 = 5.0;
-/// Minimum schedule-cache hit rate on each periodic DOMORE kernel
-/// (BENCH_5, full mode).
-const HIT_RATE_THRESHOLD: f64 = 0.90;
 /// Maximum checker-wait critical-path share the best sharded checker may
 /// report, as a fraction of the single-shard share (BENCH_7, full mode).
 const SHARD_SHARE_FACTOR: f64 = 0.9738;
@@ -683,45 +672,7 @@ impl CheckerSide {
     }
 }
 
-/// One periodic kernel's schedule-memo measurements.
-struct MemoRow {
-    name: &'static str,
-    invocations: u64,
-    cache_hits: u64,
-    memo_ns: u64,
-    no_memo_ns: u64,
-}
-
-impl MemoRow {
-    fn hit_rate(&self) -> f64 {
-        self.cache_hits as f64 / self.invocations.max(1) as f64
-    }
-}
-
-fn memo_row(name: &'static str, scale: Scale, workers: usize, cost: &CostModel) -> MemoRow {
-    let info = crossinvoc_workloads::registry::by_name(name);
-    let model = info.model(scale);
-    let run = |memo: bool| {
-        let mut policy = domore_policy(&info, scale);
-        domore_configured(model.as_ref(), workers, policy.as_mut(), cost, None, memo)
-    };
-    let with_memo = run(true);
-    let without = run(false);
-    MemoRow {
-        name,
-        invocations: model.num_invocations() as u64,
-        cache_hits: with_memo.stats.schedule_cache_hits,
-        memo_ns: with_memo.total_ns,
-        no_memo_ns: without.total_ns,
-    }
-}
-
 fn run_fastpath(args: &Args) -> ExitCode {
-    let scale = if args.smoke {
-        Scale::Test
-    } else {
-        Scale::Figure
-    };
     let cost = CostModel::default();
     let suite_start = Instant::now();
 
@@ -748,35 +699,10 @@ fn run_fastpath(args: &Args) -> ExitCode {
     let pruning_ratio =
         off.comparisons_per_admit() / on.comparisons_per_admit().max(f64::MIN_POSITIVE);
 
-    println!(
-        "[memo] JACOBI + FDTD at {scale:?} scale, {} workers",
-        args.workers
-    );
-    let memo_rows = [
-        memo_row("JACOBI", scale, args.workers, &cost),
-        memo_row("FDTD", scale, args.workers, &cost),
-    ];
-    let worst_hit_rate = memo_rows
-        .iter()
-        .map(MemoRow::hit_rate)
-        .fold(f64::INFINITY, f64::min);
+    let pass =
+        !args.smoke && pruning_ratio >= PRUNING_THRESHOLD && on.checker_share < off.checker_share;
 
-    let pass = !args.smoke
-        && pruning_ratio >= PRUNING_THRESHOLD
-        && worst_hit_rate >= HIT_RATE_THRESHOLD
-        && on.checker_share < off.checker_share;
-
-    let json = render_fastpath_json(
-        args,
-        &on,
-        &off,
-        pruning_ratio,
-        &memo_rows,
-        epochs,
-        tasks,
-        threads,
-        pass,
-    );
+    let json = render_fastpath_json(args, &on, &off, pruning_ratio, epochs, tasks, threads, pass);
     if let Err(e) = std::fs::create_dir_all(args.out.parent().unwrap_or(&args.out)) {
         eprintln!("bench-suite: creating output directory: {e}");
         return ExitCode::FAILURE;
@@ -806,24 +732,12 @@ fn run_fastpath(args: &Args) -> ExitCode {
          (what-if free checks: {:.3}x vs {:.3}x)",
         on.checker_share, off.checker_share, on.zero_checker_speedup, off.zero_checker_speedup
     );
-    for row in &memo_rows {
-        println!(
-            "  {:<8} schedule-cache hit rate {:.3} ({}/{} invocations), {} -> {} ns",
-            row.name,
-            row.hit_rate(),
-            row.cache_hits,
-            row.invocations,
-            row.no_memo_ns,
-            row.memo_ns
-        );
-    }
     if args.smoke {
         println!("smoke mode: criteria not evaluated (test-scale models)");
         return ExitCode::SUCCESS;
     }
     println!(
-        "pruning ratio {pruning_ratio:.2} (need >= {PRUNING_THRESHOLD}), worst hit rate \
-         {worst_hit_rate:.3} (need >= {HIT_RATE_THRESHOLD}), checker share shrank: {}",
+        "pruning ratio {pruning_ratio:.2} (need >= {PRUNING_THRESHOLD}), checker share shrank: {}",
         on.checker_share < off.checker_share
     );
     if pass {
@@ -994,7 +908,6 @@ fn render_fastpath_json(
     on: &CheckerSide,
     off: &CheckerSide,
     pruning_ratio: f64,
-    memo_rows: &[MemoRow],
     epochs: usize,
     tasks: usize,
     threads: usize,
@@ -1034,38 +947,10 @@ fn render_fastpath_json(
     side(&mut s, "summaries_on", on, true);
     side(&mut s, "summaries_off", off, false);
     s.push_str("  },\n");
-    s.push_str("  \"memo\": {\n");
-    let _ = writeln!(
-        s,
-        "    \"scale\": \"{}\",",
-        if args.smoke { "test" } else { "figure" }
-    );
-    s.push_str("    \"kernels\": [\n");
-    for (i, row) in memo_rows.iter().enumerate() {
-        let _ = write!(
-            s,
-            "      {{\"name\": \"{}\", \"invocations\": {}, \"cache_hits\": {}, \
-             \"hit_rate\": {:.4}, \"memo_total_ns\": {}, \"no_memo_total_ns\": {}}}",
-            row.name,
-            row.invocations,
-            row.cache_hits,
-            row.hit_rate(),
-            row.memo_ns,
-            row.no_memo_ns
-        );
-        s.push_str(if i + 1 < memo_rows.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("    ]\n  },\n");
     s.push_str("  \"criteria\": {\n");
     let _ = writeln!(s, "    \"evaluated\": {},", !args.smoke);
     let _ = writeln!(s, "    \"min_pruning_ratio\": {PRUNING_THRESHOLD},");
-    let _ = writeln!(s, "    \"min_hit_rate\": {HIT_RATE_THRESHOLD},");
     let _ = writeln!(s, "    \"pruning_ratio\": {pruning_ratio:.4},");
-    let worst = memo_rows
-        .iter()
-        .map(MemoRow::hit_rate)
-        .fold(f64::INFINITY, f64::min);
-    let _ = writeln!(s, "    \"worst_hit_rate\": {worst:.4},");
     let _ = writeln!(s, "    \"checker_share_on\": {:.6},", on.checker_share);
     let _ = writeln!(s, "    \"checker_share_off\": {:.6},", off.checker_share);
     let _ = writeln!(s, "    \"pass\": {pass}");
@@ -2694,21 +2579,7 @@ fn validate_bench5(root: &Json) -> Result<String, String> {
     if !matches!(checker.get("pruning_ratio"), Some(Json::Num(_))) {
         return Err("checker.pruning_ratio must be a number".into());
     }
-    let kernels = match root.get("memo").and_then(|m| m.get("kernels")) {
-        Some(Json::Arr(items)) if !items.is_empty() => items,
-        _ => return Err("memo.kernels must be a non-empty array".into()),
-    };
-    for kernel in kernels {
-        if !matches!(kernel.get("name"), Some(Json::Str(_)))
-            || !matches!(kernel.get("hit_rate"), Some(Json::Num(_)))
-        {
-            return Err("memo kernel needs name and hit_rate".into());
-        }
-    }
-    Ok(format!(
-        "valid BENCH_5 report, {} memo kernels",
-        kernels.len()
-    ))
+    Ok("valid BENCH_5 report".to_string())
 }
 
 fn validate_bench7(root: &Json) -> Result<String, String> {
@@ -2845,14 +2716,13 @@ mod tests {
             "pruning_ratio": 6.5,
             "summaries_on": {"comparisons": 10, "check_requests": 5},
             "summaries_off": {"comparisons": 65, "check_requests": 5}
-          },
-          "memo": {"kernels": [{"name": "JACOBI", "hit_rate": 0.99}]}
+          }
         }"#;
         let desc = validate_report(ok).unwrap();
         assert!(desc.contains("BENCH_5"), "{desc}");
 
-        let no_rate = ok.replace("\"hit_rate\": 0.99", "\"hit_rate\": \"high\"");
-        assert!(validate_report(&no_rate).is_err());
+        let no_ratio = ok.replace("\"pruning_ratio\": 6.5", "\"pruning_ratio\": \"high\"");
+        assert!(validate_report(&no_ratio).is_err());
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //!
 //! Each submission spawns one cheap *manager* thread that runs the engine's
 //! `execute_on` against the shared pool. All per-region state — checker
-//! shards, shadow memory, schedule memo, metrics, trace sinks, fault
-//! budgets, degradation policy — lives in that manager's call frame, so a
+//! shards, shadow memory, metrics, trace sinks, fault budgets,
+//! degradation policy — lives in that manager's call frame, so a
 //! panicking, degrading, or misspeculating region cannot poison its
 //! neighbours: the pool's job wrapper contains role panics and re-raises
 //! them only on the submitting manager, whose [`RegionHandle::join`] turns

@@ -68,14 +68,12 @@
 
 pub mod duplicated;
 pub mod logic;
-pub mod memo;
 pub mod policy;
 pub mod runtime;
 pub mod workload;
 
 pub use duplicated::DuplicatedScheduler;
 pub use logic::{SchedulerLogic, SyncCondition};
-pub use memo::{ReplayStep, ScheduleMemo};
 pub use policy::{Adaptive, Chunked, Dispatch, LocalWrite, ModuloWrite, Policy, RoundRobin};
 pub use runtime::{DomoreConfig, DomoreError, DomoreRuntime, ExecutionReport};
 pub use workload::DomoreWorkload;

@@ -191,67 +191,6 @@ impl SchedulerLogic {
         self.shadow.clear();
         self.next_iter = 0;
     }
-
-    /// Advances the combined iteration counter by `n` without touching the
-    /// shadow. Used by the cross-invocation schedule memo after replaying a
-    /// whole invocation whose scheduling was skipped: the shadow is patched
-    /// separately via `SchedulerLogic::apply_fresh`.
-    pub fn skip_iterations(&mut self, n: u64) {
-        self.next_iter += n;
-    }
-
-    /// Exports the *fresh* part of `addr`'s shadow entry — the writer and
-    /// readers recorded at combined iteration `base` or later — with
-    /// iteration numbers stored relative to `base`. Stale parts (set before
-    /// `base`) are deliberately excluded: across identical invocations they
-    /// do not shift with the iteration numbering, so a memo replay must
-    /// leave them untouched.
-    pub(crate) fn export_fresh(&mut self, addr: usize, base: IterNum) -> FreshState {
-        let entry = self.shadow.entry(addr);
-        FreshState {
-            writer: entry
-                .writer
-                .filter(|w| w.iter >= base)
-                .map(|w| (w.tid, w.iter - base)),
-            readers: entry
-                .readers
-                .iter()
-                .filter(|r| r.iter >= base)
-                .map(|r| (r.tid, r.iter - base))
-                .collect(),
-        }
-    }
-
-    /// Applies a state exported by [`SchedulerLogic::export_fresh`] onto
-    /// `addr` as if the recorded invocation had been rescheduled starting at
-    /// combined iteration `base`: a fresh write replaces the whole entry
-    /// (a write clears the reader list, exactly as
-    /// [`SchedulerLogic::schedule_rw`] would), fresh reads max-merge over
-    /// whatever is present, and stale writer/reader entries survive
-    /// untouched.
-    pub(crate) fn apply_fresh(&mut self, addr: usize, base: IterNum, fresh: &FreshState) {
-        let entry = self.shadow.entry(addr);
-        if let Some((tid, off)) = fresh.writer {
-            entry.writer = Some(Owner {
-                tid,
-                iter: base + off,
-            });
-            entry.readers.clear();
-        }
-        for &(tid, off) in &fresh.readers {
-            entry.record_reader(tid, base + off);
-        }
-    }
-}
-
-/// The fresh (current-invocation) slice of one address's shadow entry, with
-/// iteration numbers relative to the invocation's base combined iteration
-/// number. Produced and consumed by the schedule memo
-/// ([`crate::memo::ScheduleMemo`]).
-#[derive(Debug, Clone, Default)]
-pub(crate) struct FreshState {
-    pub(crate) writer: Option<(ThreadId, u64)>,
-    pub(crate) readers: Vec<(ThreadId, u64)>,
 }
 
 #[cfg(test)]

@@ -50,15 +50,14 @@ use crossinvoc_runtime::fault::{FaultKind, FaultPlan, TaskFault};
 use crossinvoc_runtime::metrics::{Metrics, MetricsSummary};
 use crossinvoc_runtime::pool::{RegionExecutor, Role, ScopedExecutor};
 use crossinvoc_runtime::spsc::{Producer, Queue};
-use crossinvoc_runtime::stats::{RegionStats, StatsSummary};
+use crossinvoc_runtime::stats::StatsSummary;
 use crossinvoc_runtime::telemetry::RegionTelemetry;
-use crossinvoc_runtime::trace::{Event, Trace, TraceCollector, TraceSink, WakeEdge, MANAGER_TID};
+use crossinvoc_runtime::trace::{Event, Trace, TraceCollector, WakeEdge, MANAGER_TID};
 use crossinvoc_runtime::wait::{AdaptiveSpin, Parker, PARK_SLICE};
 use crossinvoc_runtime::{IterNum, ThreadId};
 use parking_lot::Mutex;
 
 use crate::logic::{SchedulerLogic, SyncCondition};
-use crate::memo::{ReplayStep, ScheduleMemo};
 use crate::policy::{Dispatch, Policy, RoundRobin};
 use crate::workload::DomoreWorkload;
 
@@ -181,7 +180,6 @@ pub struct DomoreConfig {
     fault_plan: Option<FaultPlan>,
     watchdog: Option<Duration>,
     trace_capacity: Option<usize>,
-    schedule_memo: bool,
     region_id: u64,
     telemetry: Option<Arc<RegionTelemetry>>,
 }
@@ -196,7 +194,6 @@ impl DomoreConfig {
             fault_plan: None,
             watchdog: None,
             trace_capacity: None,
-            schedule_memo: true,
             region_id: 0,
             telemetry: None,
         }
@@ -240,15 +237,6 @@ impl DomoreConfig {
     /// without overriding an explicitly configured capacity.
     pub fn trace_default(mut self, capacity: usize) -> Self {
         self.trace_capacity.get_or_insert(capacity);
-        self
-    }
-
-    /// Enables or disables cross-invocation schedule memoization
-    /// ([`crate::memo::ScheduleMemo`]). On by default; replayed and
-    /// recomputed schedules are decision-for-decision identical, so this
-    /// switch exists for measurement, not correctness.
-    pub fn schedule_memo(mut self, enabled: bool) -> Self {
-        self.schedule_memo = enabled;
         self
     }
 
@@ -394,8 +382,8 @@ impl DomoreRuntime {
     /// given executor — a shared [`crossinvoc_runtime::pool::WorkerPool`] in
     /// region-server mode, or [`ScopedExecutor`] for the classic
     /// thread-per-worker behaviour. The calling thread stays the scheduler
-    /// either way, and all per-region state (shadow memory, schedule memo,
-    /// progress board, metrics, trace sinks, fault budget) lives in this
+    /// either way, and all per-region state (shadow memory, progress
+    /// board, metrics, trace sinks, fault budget) lives in this
     /// call frame, so concurrent regions on one pool cannot observe each
     /// other.
     pub fn execute_on<W: DomoreWorkload>(
@@ -429,7 +417,6 @@ impl DomoreRuntime {
             Some(n) => SchedulerLogic::with_dense_shadow(n),
             None => SchedulerLogic::with_sparse_shadow(),
         };
-        let mut memo = ScheduleMemo::new();
         let board = ProgressBoard::new(num_workers);
         let telemetry = self.config.telemetry.as_deref();
         if let Some(cell) = telemetry {
@@ -471,7 +458,6 @@ impl DomoreRuntime {
         let start = Instant::now();
 
         let queue_capacity = self.config.queue_capacity;
-        let schedule_memo = self.config.schedule_memo;
         let policy = self.policy.as_mut();
         {
             let mut producers = Vec::with_capacity(num_workers);
@@ -630,46 +616,6 @@ impl DomoreRuntime {
                     let mut pending: Vec<Vec<Msg>> = (0..num_workers)
                         .map(|_| Vec::with_capacity(SCHED_BATCH))
                         .collect();
-                    // Buffers `conds` then the `Run` for one iteration,
-                    // preserving the flush-before-`Sync` invariant above. Both
-                    // the replayed and the recomputed path dispatch through
-                    // here, so the two are message-for-message identical.
-                    #[allow(clippy::too_many_arguments)]
-                    fn dispatch(
-                        stats: &RegionStats,
-                        sink: &mut TraceSink,
-                        pending: &mut [Vec<Msg>],
-                        producers: &[Producer<Msg>],
-                        tid: ThreadId,
-                        inv: usize,
-                        iter: usize,
-                        iter_num: IterNum,
-                        conds: &[SyncCondition],
-                    ) {
-                        sink.emit(Event::TaskAssign {
-                            epoch: inv as u32,
-                            task: iter as u64,
-                            worker: tid,
-                        });
-                        for &cond in conds {
-                            stats.add_sync_condition();
-                            if cond.dep_tid != tid && !pending[cond.dep_tid].is_empty() {
-                                producers[cond.dep_tid].produce_batch(&mut pending[cond.dep_tid]);
-                            }
-                            pending[tid].push(Msg::Sync {
-                                cond,
-                                inv: inv as u32,
-                            });
-                        }
-                        pending[tid].push(Msg::Run {
-                            inv,
-                            iter,
-                            iter_num,
-                        });
-                        if pending[tid].len() >= SCHED_BATCH {
-                            producers[tid].produce_batch(&mut pending[tid]);
-                        }
-                    }
                     'invocations: for inv in 0..workload.num_invocations() {
                         if abort.load(Ordering::Acquire) {
                             break;
@@ -677,93 +623,7 @@ impl DomoreRuntime {
                         workload.prologue(inv);
                         stats.add_epoch();
                         sched_sink.emit(Event::EpochBegin { epoch: inv as u32 });
-                        let iters = workload.num_iterations(inv);
-                        let base = logic.next_iter_num();
-                        // Memoization stands down while any worker is dead:
-                        // rerouted assignments depend on *when* workers died,
-                        // which the fingerprint cannot see.
-                        let usable =
-                            schedule_memo && !dead.iter().any(|d| d.load(Ordering::Acquire));
-                        let mut iter = 0;
-                        // Worker already assigned (policy consulted, reroute
-                        // applied) to the iteration a replay diverged on; the
-                        // recompute loop below must not consult the policy
-                        // again for it.
-                        let mut carried_tid = None;
-                        if memo.begin_invocation(iters, base, usable) {
-                            while iter < iters {
-                                if abort.load(Ordering::Acquire) {
-                                    break 'invocations;
-                                }
-                                writes.clear();
-                                reads.clear();
-                                workload.touched(inv, iter, &mut writes, &mut reads);
-                                addrs.clear();
-                                addrs.extend_from_slice(&writes);
-                                addrs.extend_from_slice(&reads);
-                                // The policy is consulted (and kept in step)
-                                // during replay; `logic` is not, so its counter
-                                // has not advanced — the preview is derived.
-                                let mut tid =
-                                    policy.assign(base + iter as u64, &addrs, num_workers);
-                                if dead[tid].load(Ordering::Acquire) {
-                                    match (1..num_workers)
-                                        .map(|k| (tid + k) % num_workers)
-                                        .find(|&t| !dead[t].load(Ordering::Acquire))
-                                    {
-                                        Some(live) => tid = live,
-                                        None => {
-                                            abort.store(true, Ordering::Release);
-                                            break 'invocations;
-                                        }
-                                    }
-                                }
-                                match memo.replay_step(iter, &writes, &reads, tid) {
-                                    ReplayStep::Match {
-                                        tid,
-                                        iter_num,
-                                        conds,
-                                    } => {
-                                        dispatch(
-                                            stats,
-                                            &mut sched_sink,
-                                            &mut pending,
-                                            &producers,
-                                            tid,
-                                            inv,
-                                            iter,
-                                            iter_num,
-                                            conds,
-                                        );
-                                        iter += 1;
-                                    }
-                                    ReplayStep::Diverged => {
-                                        // Bring the shadow up to date for the
-                                        // already-dispatched prefix. Its
-                                        // conditions were emitted correctly
-                                        // during replay (they depend only on
-                                        // the start-of-invocation shadow and
-                                        // the verified prefix), so they are
-                                        // discarded here.
-                                        for k in 0..iter {
-                                            writes.clear();
-                                            reads.clear();
-                                            workload.touched(inv, k, &mut writes, &mut reads);
-                                            conds.clear();
-                                            let _ = logic.schedule_rw(
-                                                memo.recorded_tid(k),
-                                                &writes,
-                                                &reads,
-                                                &mut conds,
-                                            );
-                                        }
-                                        carried_tid = Some(tid);
-                                        break;
-                                    }
-                                }
-                            }
-                        }
-                        while iter < iters {
+                        for iter in 0..workload.num_iterations(inv) {
                             if abort.load(Ordering::Acquire) {
                                 break 'invocations;
                             }
@@ -774,10 +634,7 @@ impl DomoreRuntime {
                             addrs.extend_from_slice(&writes);
                             addrs.extend_from_slice(&reads);
                             let preview = logic.next_iter_num();
-                            let mut tid = match carried_tid.take() {
-                                Some(t) => t,
-                                None => policy.assign(preview, &addrs, num_workers),
-                            };
+                            let mut tid = policy.assign(preview, &addrs, num_workers);
                             // Route around dead workers: next live thread in id
                             // order. Rerouting happens *before* the scheduling
                             // logic runs, so every synchronization condition
@@ -800,23 +657,30 @@ impl DomoreRuntime {
                             conds.clear();
                             let iter_num = logic.schedule_rw(tid, &writes, &reads, &mut conds);
                             debug_assert_eq!(iter_num, preview);
-                            memo.record_step(&writes, &reads, tid, &conds);
-                            dispatch(
-                                stats,
-                                &mut sched_sink,
-                                &mut pending,
-                                &producers,
-                                tid,
+                            sched_sink.emit(Event::TaskAssign {
+                                epoch: inv as u32,
+                                task: iter as u64,
+                                worker: tid,
+                            });
+                            for &cond in &conds {
+                                stats.add_sync_condition();
+                                if cond.dep_tid != tid && !pending[cond.dep_tid].is_empty() {
+                                    producers[cond.dep_tid]
+                                        .produce_batch(&mut pending[cond.dep_tid]);
+                                }
+                                pending[tid].push(Msg::Sync {
+                                    cond,
+                                    inv: inv as u32,
+                                });
+                            }
+                            pending[tid].push(Msg::Run {
                                 inv,
                                 iter,
                                 iter_num,
-                                &conds,
-                            );
-                            iter += 1;
-                        }
-                        if memo.end_invocation(&mut logic) {
-                            stats.add_schedule_cache_hit();
-                            sched_sink.emit(Event::ScheduleCacheHit { epoch: inv as u32 });
+                            });
+                            if pending[tid].len() >= SCHED_BATCH {
+                                producers[tid].produce_batch(&mut pending[tid]);
+                            }
                         }
                         // Keep the pipeline warm across the (sequential)
                         // prologue of the next invocation.
@@ -1010,92 +874,6 @@ mod tests {
             .execute(&w)
             .unwrap();
         assert_eq!(w.data.snapshot(), expected_rotating(9, 6));
-    }
-
-    /// Every invocation touches the identical address stream: iteration i
-    /// writes cell i and reads its ring neighbours — the steady-state shape
-    /// schedule memoization exists for.
-    struct Steady {
-        data: SharedSlice<u64>,
-        invocations: usize,
-    }
-
-    impl DomoreWorkload for Steady {
-        fn num_invocations(&self) -> usize {
-            self.invocations
-        }
-        fn num_iterations(&self, _inv: usize) -> usize {
-            self.data.len()
-        }
-        fn touched_addrs(&self, _inv: usize, _iter: usize, _out: &mut Vec<usize>) {
-            unreachable!("touched() is overridden");
-        }
-        fn touched(
-            &self,
-            _inv: usize,
-            iter: usize,
-            writes: &mut Vec<usize>,
-            reads: &mut Vec<usize>,
-        ) {
-            let n = self.data.len();
-            writes.push(iter);
-            reads.push((iter + n - 1) % n);
-            reads.push((iter + 1) % n);
-        }
-        fn execute_iteration(&self, _inv: usize, iter: usize, _tid: ThreadId) {
-            unsafe { self.data.update(iter, |v| *v = v.wrapping_mul(31) + 1) };
-        }
-        fn address_space(&self) -> Option<usize> {
-            Some(self.data.len())
-        }
-    }
-
-    #[test]
-    fn steady_invocations_replay_from_the_schedule_memo() {
-        // 16 iterations round-robin over 4 workers: assignments are
-        // shift-stable, so invocation 0 seeds the hash, 1 records the
-        // matching candidate, and 2.. replay.
-        let mut w = Steady {
-            data: SharedSlice::from_vec(vec![0; 16]),
-            invocations: 8,
-        };
-        let report = DomoreRuntime::new(DomoreConfig::with_workers(4))
-            .execute(&w)
-            .unwrap();
-        assert_eq!(report.stats.schedule_cache_hits, 6);
-        assert_eq!(w.data.snapshot(), expected_rotating(16, 8));
-        assert_eq!(report.stats.tasks, 16 * 8);
-    }
-
-    #[test]
-    fn schedule_memo_off_matches_memo_on() {
-        let run = |memo: bool| {
-            let mut w = Steady {
-                data: SharedSlice::from_vec(vec![0; 12]),
-                invocations: 6,
-            };
-            let report = DomoreRuntime::new(DomoreConfig::with_workers(3).schedule_memo(memo))
-                .execute(&w)
-                .unwrap();
-            (w.data.snapshot(), report.stats)
-        };
-        let (on_data, on_stats) = run(true);
-        let (off_data, off_stats) = run(false);
-        assert_eq!(on_data, off_data);
-        assert_eq!(on_stats.sync_conditions, off_stats.sync_conditions);
-        assert_eq!(on_stats.tasks, off_stats.tasks);
-        assert!(on_stats.schedule_cache_hits > 0);
-        assert_eq!(off_stats.schedule_cache_hits, 0);
-    }
-
-    #[test]
-    fn rotating_streams_never_hit_the_memo() {
-        let mut w = Rotating::new(8, 6);
-        let report = DomoreRuntime::new(DomoreConfig::with_workers(4))
-            .execute(&w)
-            .unwrap();
-        assert_eq!(report.stats.schedule_cache_hits, 0);
-        assert_eq!(w.data.snapshot(), expected_rotating(8, 6));
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //! a cross-epoch conflict materializes depends on actual overlap), so
 //! verdict equality is asserted where it is deterministic: the discrete
 //! simulators, replaying the region's recorded access trace, must produce
-//! identical misspeculation counts and schedules with the epoch-summary
-//! and schedule-memo fast paths on and off.
+//! identical misspeculation counts with the epoch-summary fast path on
+//! and off.
 //!
 //! Static check elision rides the same split. The threaded `spec-elide`
 //! path re-runs the plan with elision forced on and asserts the memory
@@ -40,7 +40,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use crossinvoc_domore::policy::RoundRobin;
 use crossinvoc_domore::runtime::DomoreConfig;
 use crossinvoc_pir::{DomorePlan, Memory, SpecCrossPlan};
 use crossinvoc_runtime::metrics::MetricsSummary;
@@ -401,41 +400,22 @@ pub fn run_case(case: &FuzzCase) -> DiffReport {
                 );
             }
         }
-
-        let memo_on =
-            domore_configured(&recorded, case.workers, &mut RoundRobin, &cost, None, true);
-        let memo_off =
-            domore_configured(&recorded, case.workers, &mut RoundRobin, &cost, None, false);
-        if memo_on.stats.tasks != memo_off.stats.tasks
-            || memo_on.stats.sync_conditions != memo_off.stats.sync_conditions
-        {
-            report.diverge(
-                "sim",
-                format!(
-                    "schedule memo changed the sim schedule: \
-                     on = {{tasks: {}, syncs: {}}}, off = {{tasks: {}, syncs: {}}}",
-                    memo_on.stats.tasks,
-                    memo_on.stats.sync_conditions,
-                    memo_off.stats.tasks,
-                    memo_off.stats.sync_conditions,
-                ),
-            );
-        }
     }
 
-    // DOMORE paths.
+    // DOMORE path.
     if let Some(inner) = case.inner() {
         if let Ok(plan) = DomorePlan::build(&case.program, outer, inner) {
             report.domore_applicable = true;
-            for (path, memo) in [("domore+memo", true), ("domore-memo", false)] {
-                report.paths_run.push(path);
-                let config = DomoreConfig::with_workers(case.workers)
-                    .fault_plan(case.faults.clone())
-                    .watchdog(WATCHDOG)
-                    .schedule_memo(memo);
-                let out = exec_caught(path, |mem| plan.execute_with(mem, config).map(|_| ()), case);
-                check_outcome(&mut report, path, out, &expected, faults_empty);
-            }
+            report.paths_run.push("domore");
+            let config = DomoreConfig::with_workers(case.workers)
+                .fault_plan(case.faults.clone())
+                .watchdog(WATCHDOG);
+            let out = exec_caught(
+                "domore",
+                |mem| plan.execute_with(mem, config).map(|_| ()),
+                case,
+            );
+            check_outcome(&mut report, "domore", out, &expected, faults_empty);
         }
     }
 

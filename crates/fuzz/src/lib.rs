@@ -17,11 +17,11 @@
 //!   itself under test).
 //! * [`diff`] — executes one case through every applicable path
 //!   (sequential interpreter, barriers, `SpecCrossEngine` with and without
-//!   epoch summaries, `DomoreRuntime` with and without schedule
-//!   memoization, and the deterministic simulators over a recorded access
-//!   trace) and classifies the outcome; [`run_concurrent_pair`] runs two
-//!   cases at once through one shared worker pool (the region-server
-//!   deployment shape) and holds each to the same contract, and
+//!   epoch summaries, `DomoreRuntime`, and the deterministic simulators
+//!   over a recorded access trace) and classifies the outcome;
+//!   [`run_concurrent_pair`] runs two cases at once through one shared
+//!   worker pool (the region-server deployment shape) and holds each to
+//!   the same contract, and
 //!   [`run_concurrent_pair_telemetry`] re-runs the pair with the live
 //!   telemetry plane attached, asserting it is observationally invisible.
 //! * [`mod@minimize`] — a delta-debugging shrinker that reduces a diverging

@@ -286,8 +286,8 @@ impl<'p> DomorePlan<'p> {
     }
 
     /// Like [`DomorePlan::execute`], but under a caller-supplied runtime
-    /// configuration (fault plans, watchdog, schedule memoization toggle —
-    /// the knobs the differential fuzzer sweeps).
+    /// configuration (fault plans, watchdog — the knobs the differential
+    /// fuzzer sweeps).
     ///
     /// # Errors
     ///

@@ -201,11 +201,6 @@ impl Trace {
                     ));
                     w.close();
                 }
-                Event::ScheduleCacheHit { epoch } => {
-                    w.open("schedule_cache_hit", 'i', dt, rec.t_ns)
-                        .push_str(&format!(",\"s\":\"t\",\"args\":{{\"epoch\":{epoch}}}"));
-                    w.close();
-                }
                 Event::CheckerShard {
                     shard,
                     shards,

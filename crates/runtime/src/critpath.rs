@@ -308,8 +308,7 @@ impl<'a> Dag<'a> {
             | Event::TaskRetire { epoch, .. }
             | Event::FaultInjected { epoch, .. }
             | Event::CheckerSummary { epoch, .. }
-            | Event::CheckElided { epoch, .. }
-            | Event::ScheduleCacheHit { epoch } => Some(epoch),
+            | Event::CheckElided { epoch, .. } => Some(epoch),
             Event::Misspeculation { later_epoch, .. } => Some(later_epoch),
             // Per-shard totals are pass-scoped, not epoch-scoped.
             Event::CheckerShard { .. } => None,

@@ -387,9 +387,15 @@ impl RegionExecutor for WorkerPool {
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        self.shared
-            .shutdown
-            .store(true, std::sync::atomic::Ordering::SeqCst);
+        // Set the flag under the queue lock: a pool thread checks it with
+        // the lock held and then waits, so without the lock it could see
+        // `false`, miss this notify before it waits, and never wake.
+        {
+            let _queue = self.shared.queue.lock();
+            self.shared
+                .shutdown
+                .store(true, std::sync::atomic::Ordering::SeqCst);
+        }
         self.shared.work_cv.notify_all();
         for t in self.threads.drain(..) {
             let _ = t.join();
@@ -440,6 +446,26 @@ mod tests {
                 Box::new(move || f(i)) as Role<'s>
             })
             .collect()
+    }
+
+    #[test]
+    fn dropping_pools_never_hangs() {
+        // Pool threads race to their first wait while the pool is already
+        // being dropped; a lost shutdown wake-up would block `join` forever.
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            for i in 0..2000 {
+                let pool = WorkerPool::new(2);
+                if i % 2 == 1 {
+                    pool.run_gang(gang(2, |_| {}), Box::new(|| {}));
+                }
+                drop(pool);
+            }
+            done.send(()).unwrap();
+        });
+        finished
+            .recv_timeout(Duration::from_secs(60))
+            .expect("dropping a pool hung: lost shutdown wake-up");
     }
 
     #[test]

@@ -36,7 +36,6 @@ pub struct RegionStats {
     checkpoints: AtomicU64,
     stalls: AtomicU64,
     checker_epoch_skips: AtomicU64,
-    schedule_cache_hits: AtomicU64,
     elided_signatures: AtomicU64,
     elided_admits: AtomicU64,
     proven_accesses: AtomicU64,
@@ -91,12 +90,6 @@ impl RegionStats {
         add_stall, stalls, stalls
     );
     counter!(
-        /// Records one invocation whose schedule was replayed from the
-        /// cross-invocation memo instead of recomputed (DOMORE fast path).
-        add_schedule_cache_hit, schedule_cache_hits, schedule_cache_hits
-    );
-
-    counter!(
         /// Records one task whose signature generation was skipped because
         /// static analysis proved its footprint conflict-free (SPECCROSS
         /// elision).
@@ -147,7 +140,7 @@ impl RegionStats {
             checkpoints: self.checkpoints(),
             stalls: self.stalls(),
             checker_epoch_skips: self.checker_epoch_skips(),
-            schedule_cache_hits: self.schedule_cache_hits(),
+            schedule_cache_hits: 0,
             elided_signatures: self.elided_signatures(),
             elided_admits: self.elided_admits(),
             proven_accesses: self.proven_accesses(),
@@ -172,7 +165,7 @@ impl RegionStats {
             checkpoints: self.checkpoints.load(Ordering::Acquire),
             stalls: self.stalls.load(Ordering::Acquire),
             checker_epoch_skips: self.checker_epoch_skips.load(Ordering::Acquire),
-            schedule_cache_hits: self.schedule_cache_hits.load(Ordering::Acquire),
+            schedule_cache_hits: 0,
             elided_signatures: self.elided_signatures.load(Ordering::Acquire),
             elided_admits: self.elided_admits.load(Ordering::Acquire),
             proven_accesses: self.proven_accesses.load(Ordering::Acquire),
@@ -200,8 +193,9 @@ pub struct StatsSummary {
     /// Whole-epoch checker log skips taken by the aggregate-signature fast
     /// path (SPECCROSS).
     pub checker_epoch_skips: u64,
-    /// Invocations whose DOMORE schedule was replayed from the
-    /// cross-invocation memo instead of recomputed.
+    /// Always 0. The DOMORE schedule memo that counted replayed
+    /// invocations here was removed; the field stays only because the
+    /// wall-clock benchmark (`perfbench`) still reads it.
     pub schedule_cache_hits: u64,
     /// Tasks whose signature generation was skipped under a static
     /// conflict-freedom proof (SPECCROSS elision).
@@ -230,7 +224,6 @@ mod tests {
         s.add_checkpoint();
         s.add_stall();
         s.add_checker_epoch_skips(3);
-        s.add_schedule_cache_hit();
         s.add_elided_signature();
         s.add_elided_admit();
         s.add_proven_accesses(5);
@@ -243,7 +236,6 @@ mod tests {
         assert_eq!(sum.checkpoints, 1);
         assert_eq!(sum.stalls, 1);
         assert_eq!(sum.checker_epoch_skips, 3);
-        assert_eq!(sum.schedule_cache_hits, 1);
         assert_eq!(sum.elided_signatures, 1);
         assert_eq!(sum.elided_admits, 1);
         assert_eq!(sum.proven_accesses, 5);

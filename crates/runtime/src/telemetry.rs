@@ -729,7 +729,7 @@ impl RegistrySnapshot {
             }
             let s = &r.metrics.stats;
             out.push_str(&format!(
-                "{{\"region_id\":{},\"kind\":\"{}\",\"gang\":{},\"state\":\"{}\",\"queue_wait_ns\":{},\"degrade_events\":{},\"faults\":{},\"latency_ns\":{},\"misspec_rate\":{:.6},\"tasks\":{},\"epochs\":{},\"check_requests\":{},\"elided_admits\":{},\"sync_conditions\":{},\"misspeculations\":{},\"checkpoints\":{},\"stalls\":{},\"checker_epoch_skips\":{},\"schedule_cache_hits\":{},\"barrier_wait\":{},\"stall_wait\":{}}}",
+                "{{\"region_id\":{},\"kind\":\"{}\",\"gang\":{},\"state\":\"{}\",\"queue_wait_ns\":{},\"degrade_events\":{},\"faults\":{},\"latency_ns\":{},\"misspec_rate\":{:.6},\"tasks\":{},\"epochs\":{},\"check_requests\":{},\"elided_admits\":{},\"sync_conditions\":{},\"misspeculations\":{},\"checkpoints\":{},\"stalls\":{},\"checker_epoch_skips\":{},\"barrier_wait\":{},\"stall_wait\":{}}}",
                 r.region_id,
                 json_escape(&r.kind),
                 r.gang,
@@ -748,7 +748,6 @@ impl RegistrySnapshot {
                 s.checkpoints,
                 s.stalls,
                 s.checker_epoch_skips,
-                s.schedule_cache_hits,
                 hist_json(&r.metrics.barrier_wait),
                 hist_json(&r.metrics.stall_wait),
             ));

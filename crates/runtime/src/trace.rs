@@ -247,13 +247,6 @@ pub enum Event {
         /// signature records and admission work that never happened.
         accesses: u64,
     },
-    /// The DOMORE scheduler replayed this invocation's schedule from the
-    /// cross-invocation memo (one event per memoized invocation, on the
-    /// manager's timeline) instead of running the scheduling logic.
-    ScheduleCacheHit {
-        /// The replayed invocation.
-        epoch: u32,
-    },
     /// A misspeculation was detected: the signatures of the two recorded
     /// tasks conflicted (for forced/injected conflicts both sides name the
     /// admitted task).
@@ -322,7 +315,6 @@ impl Event {
             Event::CheckerSummary { .. } => "checker_summary",
             Event::CheckerShard { .. } => "checker_shard",
             Event::CheckElided { .. } => "check_elided",
-            Event::ScheduleCacheHit { .. } => "schedule_cache_hit",
             Event::Misspeculation { .. } => "misspeculation",
             Event::Degradation { .. } => "degradation",
             Event::FaultInjected { .. } => "fault",
@@ -770,7 +762,6 @@ fn write_record(out: &mut String, rec: &TraceRecord, region: u64) {
         | Event::EpochEnd { epoch }
         | Event::BarrierEnter { epoch }
         | Event::Checkpoint { epoch }
-        | Event::ScheduleCacheHit { epoch }
         | Event::Degradation { epoch } => field(out, "epoch", epoch as u64),
         Event::CheckerSummary {
             epoch,
@@ -980,9 +971,6 @@ fn parse_record(line: &str) -> Result<(TraceRecord, u64), String> {
             tasks: num("tasks")?,
             accesses: num("accesses")?,
         },
-        "schedule_cache_hit" => Event::ScheduleCacheHit {
-            epoch: epoch(num("epoch")?),
-        },
         "degradation" => Event::Degradation {
             epoch: epoch(num("epoch")?),
         },
@@ -1087,9 +1075,6 @@ pub struct TraceReport {
     /// indexed by shard. Empty when the trace carries no shard rows
     /// (pre-sharding traces); length 1 for a single-shard checker.
     pub checker_shard_requests: Vec<u64>,
-    /// Invocations replayed from the DOMORE schedule memo
-    /// ([`Event::ScheduleCacheHit`] count).
-    pub schedule_cache_hits: u64,
     /// Tasks that ran under a static conflict-freedom proof, summed over
     /// every [`Event::CheckElided`] in the trace.
     pub elided_tasks: u64,
@@ -1113,7 +1098,6 @@ impl TraceReport {
         let mut checker_epoch_skips = 0u64;
         let mut checker_comparisons = 0u64;
         let mut checker_shard_requests: Vec<u64> = Vec::new();
-        let mut schedule_cache_hits = 0u64;
         let mut elided_tasks = 0u64;
         let mut elided_accesses = 0u64;
 
@@ -1199,7 +1183,6 @@ impl TraceReport {
                     elided_tasks += tasks;
                     elided_accesses += accesses;
                 }
-                Event::ScheduleCacheHit { .. } => schedule_cache_hits += 1,
                 Event::Degradation { epoch } => degradations.push(epoch),
                 Event::Wake { edge, .. } => wakes[edge.index()] += 1,
                 Event::EpochBegin { .. } | Event::EpochEnd { .. } | Event::BarrierEnter { .. } => {}
@@ -1217,7 +1200,6 @@ impl TraceReport {
             checker_epoch_skips,
             checker_comparisons,
             checker_shard_requests,
-            schedule_cache_hits,
             elided_tasks,
             elided_accesses,
             dropped: trace.dropped(),
@@ -1392,13 +1374,6 @@ impl TraceReport {
                 self.elided_accesses, self.elided_tasks
             );
         }
-        if self.schedule_cache_hits > 0 {
-            let _ = writeln!(
-                out,
-                "schedule cache: {} invocations replayed from memo",
-                self.schedule_cache_hits
-            );
-        }
         if self.wakes.iter().any(|&n| n > 0) {
             let counts: Vec<String> = WakeEdge::ALL
                 .iter()
@@ -1539,11 +1514,6 @@ mod tests {
                     tasks: 3,
                     accesses: 12,
                 },
-            },
-            TraceRecord {
-                t_ns: 78,
-                tid: MANAGER_TID,
-                event: Event::ScheduleCacheHit { epoch: 1 },
             },
             TraceRecord {
                 t_ns: 80,
@@ -1731,7 +1701,6 @@ mod tests {
         assert_eq!(report.checker_epoch_skips, 4);
         assert_eq!(report.checker_comparisons, 9);
         assert_eq!(report.checker_shard_requests, vec![6, 3]);
-        assert_eq!(report.schedule_cache_hits, 1);
         assert_eq!(report.elided_tasks, 3);
         assert_eq!(report.elided_accesses, 12);
         let w0 = report.threads.iter().find(|t| t.tid == 0).unwrap();

@@ -11,7 +11,6 @@
 //! finished.
 
 use crossinvoc_domore::logic::{SchedulerLogic, SyncCondition};
-use crossinvoc_domore::memo::{ReplayStep, ScheduleMemo};
 use crossinvoc_domore::policy::Policy;
 use crossinvoc_runtime::stats::RegionStats;
 use crossinvoc_runtime::trace::{Event, WakeEdge, MANAGER_TID};
@@ -64,7 +63,7 @@ pub fn domore<W: SimWorkload + ?Sized>(
     policy: &mut dyn Policy,
     cost: &CostModel,
 ) -> SimResult {
-    domore_configured(workload, workers, policy, cost, None, true)
+    domore_in_region(workload, workers, policy, cost, None, 0)
 }
 
 /// Like [`domore`], but optionally records a virtual-time execution trace
@@ -83,126 +82,10 @@ pub fn domore_traced<W: SimWorkload + ?Sized>(
     cost: &CostModel,
     trace_capacity: Option<usize>,
 ) -> SimResult {
-    domore_configured(workload, workers, policy, cost, trace_capacity, true)
+    domore_in_region(workload, workers, policy, cost, trace_capacity, 0)
 }
 
-/// Models the delivery of one scheduled iteration: the condition stalls,
-/// the queue hand-off and the kernel itself, on the assigned worker's
-/// clock. Both the memo-replayed and the recomputed scheduling path
-/// deliver through here, so the two timelines differ only in scheduler
-/// cost — never in who waits on whom.
-#[allow(clippy::too_many_arguments)]
-fn deliver(
-    stats: &RegionStats,
-    sinks: &mut SimSinks,
-    clocks: &mut [u64],
-    busy: &mut [u64],
-    idle: &mut [u64],
-    finish_times: &mut Vec<u64>,
-    arrival: u64,
-    work: u64,
-    tid: usize,
-    inv: usize,
-    iter: usize,
-    iter_num: u64,
-    conds: &[SyncCondition],
-) {
-    let wait_from = arrival.max(clocks[tid]);
-    let mut release = wait_from;
-    // The condition whose source finished last binds the wait — the
-    // source of the release causality edge.
-    let mut binding: Option<&SyncCondition> = None;
-    for cond in conds {
-        stats.add_sync_condition();
-        let dep_finish = finish_times[cond.dep_iter as usize];
-        if dep_finish > release {
-            stats.add_stall();
-            release = dep_finish;
-            binding = Some(cond);
-        }
-    }
-    if release > wait_from {
-        // A synchronization-condition wait: the threaded worker's
-        // barrier-enter/leave pair around `await_condition`.
-        sinks.workers[tid].emit_at(wait_from, Event::BarrierEnter { epoch: inv as u32 });
-        sinks.workers[tid].emit_at(
-            release,
-            Event::BarrierLeave {
-                epoch: inv as u32,
-                wait_ns: release - wait_from,
-            },
-        );
-        if let Some(cond) = binding {
-            sinks.workers[tid].emit_at(
-                release,
-                Event::Wake {
-                    edge: WakeEdge::Barrier,
-                    src_tid: cond.dep_tid,
-                    seq: cond.dep_iter,
-                },
-            );
-        }
-    }
-    idle[tid] += release - clocks[tid].min(release);
-    busy[tid] += work;
-    // SPSC produce → consume: the worker picks the scheduler's
-    // message up at dispatch.
-    sinks.workers[tid].emit_at(
-        release,
-        Event::Wake {
-            edge: WakeEdge::Queue,
-            src_tid: MANAGER_TID,
-            seq: iter_num,
-        },
-    );
-    sinks.workers[tid].emit_at(
-        release,
-        Event::TaskDispatch {
-            epoch: inv as u32,
-            task: iter as u64,
-        },
-    );
-    clocks[tid] = release + work;
-    sinks.workers[tid].emit_at(
-        clocks[tid],
-        Event::TaskRetire {
-            epoch: inv as u32,
-            task: iter as u64,
-        },
-    );
-    finish_times.push(clocks[tid]);
-    stats.add_task();
-}
-
-/// [`domore_traced`] with the cross-invocation schedule memo switchable
-/// (`schedule_memo = false` is the recompute-every-invocation baseline).
-/// Replayed invocations skip the shadow walk — the scheduler pays only the
-/// `computeAddr`/verification half of its per-iteration cost — and emit
-/// one [`Event::ScheduleCacheHit`]; decisions are identical either way.
-///
-/// # Panics
-///
-/// Panics if `workers` is zero.
-pub fn domore_configured<W: SimWorkload + ?Sized>(
-    workload: &W,
-    workers: usize,
-    policy: &mut dyn Policy,
-    cost: &CostModel,
-    trace_capacity: Option<usize>,
-    schedule_memo: bool,
-) -> SimResult {
-    domore_in_region(
-        workload,
-        workers,
-        policy,
-        cost,
-        trace_capacity,
-        schedule_memo,
-        0,
-    )
-}
-
-/// [`domore_configured`] with the trace attributed to a region-server
+/// [`domore_traced`] with the trace attributed to a region-server
 /// submission id, mirroring the threaded runtime's `DomoreConfig::region`:
 /// `region_id = 0` (solo) emits the exact pre-region JSONL bytes, any other
 /// id stamps `region_id` on every record — so simulated and threaded
@@ -211,21 +94,18 @@ pub fn domore_configured<W: SimWorkload + ?Sized>(
 /// # Panics
 ///
 /// Panics if `workers` is zero.
-#[allow(clippy::too_many_arguments)]
 pub fn domore_in_region<W: SimWorkload + ?Sized>(
     workload: &W,
     workers: usize,
     policy: &mut dyn Policy,
     cost: &CostModel,
     trace_capacity: Option<usize>,
-    schedule_memo: bool,
     region_id: u64,
 ) -> SimResult {
     assert!(workers > 0, "at least one worker is required");
     let stats = RegionStats::new();
     let mut sinks = SimSinks::new(workers, 0, trace_capacity.unwrap_or(0)).region(region_id);
     let mut logic = make_logic(workload);
-    let mut memo = ScheduleMemo::new();
     let mut sched_clock = 0u64;
     let mut clocks = vec![0u64; workers];
     let mut busy = vec![0u64; workers];
@@ -243,85 +123,14 @@ pub fn domore_in_region<W: SimWorkload + ?Sized>(
         sinks
             .manager
             .emit_at(sched_clock, Event::EpochBegin { epoch: inv as u32 });
-        let iters = workload.num_iterations(inv);
-        let base = logic.next_iter_num();
-        let mut iter = 0;
-        // Worker already assigned to the iteration a replay diverged on
-        // (the policy has advanced past it; see the threaded runtime).
-        let mut carried_tid = None;
-        if memo.begin_invocation(iters, base, schedule_memo) {
-            while iter < iters {
-                pairs.clear();
-                workload.accesses(inv, iter, &mut pairs);
-                split_accesses(&pairs, &mut writes, &mut reads, &mut addrs);
-                let tid = policy.assign(base + iter as u64, &addrs, workers);
-                match memo.replay_step(iter, &writes, &reads, tid) {
-                    ReplayStep::Match {
-                        tid,
-                        iter_num,
-                        conds,
-                    } => {
-                        // The shadow walk is skipped; `computeAddr` and the
-                        // fingerprint verification still run.
-                        sched_clock += workload.sched_cost(inv, iter) / 2 + cost.queue_ns;
-                        sinks.manager.emit_at(
-                            sched_clock,
-                            Event::TaskAssign {
-                                epoch: inv as u32,
-                                task: iter as u64,
-                                worker: tid,
-                            },
-                        );
-                        let work = cost.task_overhead_ns + workload.iteration_cost(inv, iter);
-                        deliver(
-                            &stats,
-                            &mut sinks,
-                            &mut clocks,
-                            &mut busy,
-                            &mut idle,
-                            &mut finish_times,
-                            sched_clock + cost.queue_ns,
-                            work,
-                            tid,
-                            inv,
-                            iter,
-                            iter_num,
-                            conds,
-                        );
-                        iter += 1;
-                    }
-                    ReplayStep::Diverged => {
-                        // Rebuild the shadow for the dispatched prefix; its
-                        // conditions were already delivered correctly.
-                        for k in 0..iter {
-                            pairs.clear();
-                            workload.accesses(inv, k, &mut pairs);
-                            split_accesses(&pairs, &mut writes, &mut reads, &mut addrs);
-                            conds.clear();
-                            let _ = logic.schedule_rw(
-                                memo.recorded_tid(k),
-                                &writes,
-                                &reads,
-                                &mut conds,
-                            );
-                        }
-                        carried_tid = Some(tid);
-                        break;
-                    }
-                }
-            }
-        }
-        while iter < iters {
+        for iter in 0..workload.num_iterations(inv) {
             // computeAddr + conflict detection + the produce() call.
             sched_clock += workload.sched_cost(inv, iter) + cost.queue_ns;
             pairs.clear();
             workload.accesses(inv, iter, &mut pairs);
             split_accesses(&pairs, &mut writes, &mut reads, &mut addrs);
             let preview = logic.next_iter_num();
-            let tid = match carried_tid.take() {
-                Some(t) => t,
-                None => policy.assign(preview, &addrs, workers),
-            };
+            let tid = policy.assign(preview, &addrs, workers);
             sinks.manager.emit_at(
                 sched_clock,
                 Event::TaskAssign {
@@ -333,30 +142,76 @@ pub fn domore_in_region<W: SimWorkload + ?Sized>(
             conds.clear();
             let iter_num = logic.schedule_rw(tid, &writes, &reads, &mut conds);
             debug_assert_eq!(iter_num, preview);
-            memo.record_step(&writes, &reads, tid, &conds);
+
+            // Delivery on the assigned worker's clock: the condition
+            // stalls, the queue hand-off and the kernel itself.
+            let wait_from = (sched_clock + cost.queue_ns).max(clocks[tid]);
+            let mut release = wait_from;
+            // The condition whose source finished last binds the wait — the
+            // source of the release causality edge.
+            let mut binding: Option<&SyncCondition> = None;
+            for cond in &conds {
+                stats.add_sync_condition();
+                let dep_finish = finish_times[cond.dep_iter as usize];
+                if dep_finish > release {
+                    stats.add_stall();
+                    release = dep_finish;
+                    binding = Some(cond);
+                }
+            }
+            let worker = &mut sinks.workers[tid];
+            if release > wait_from {
+                // A synchronization-condition wait: the threaded worker's
+                // barrier-enter/leave pair around `await_condition`.
+                worker.emit_at(wait_from, Event::BarrierEnter { epoch: inv as u32 });
+                worker.emit_at(
+                    release,
+                    Event::BarrierLeave {
+                        epoch: inv as u32,
+                        wait_ns: release - wait_from,
+                    },
+                );
+                if let Some(cond) = binding {
+                    worker.emit_at(
+                        release,
+                        Event::Wake {
+                            edge: WakeEdge::Barrier,
+                            src_tid: cond.dep_tid,
+                            seq: cond.dep_iter,
+                        },
+                    );
+                }
+            }
             let work = cost.task_overhead_ns + workload.iteration_cost(inv, iter);
-            deliver(
-                &stats,
-                &mut sinks,
-                &mut clocks,
-                &mut busy,
-                &mut idle,
-                &mut finish_times,
-                sched_clock + cost.queue_ns,
-                work,
-                tid,
-                inv,
-                iter,
-                iter_num,
-                &conds,
+            idle[tid] += release - clocks[tid].min(release);
+            busy[tid] += work;
+            // SPSC produce → consume: the worker picks the scheduler's
+            // message up at dispatch.
+            worker.emit_at(
+                release,
+                Event::Wake {
+                    edge: WakeEdge::Queue,
+                    src_tid: MANAGER_TID,
+                    seq: iter_num,
+                },
             );
-            iter += 1;
-        }
-        if memo.end_invocation(&mut logic) {
-            stats.add_schedule_cache_hit();
-            sinks
-                .manager
-                .emit_at(sched_clock, Event::ScheduleCacheHit { epoch: inv as u32 });
+            worker.emit_at(
+                release,
+                Event::TaskDispatch {
+                    epoch: inv as u32,
+                    task: iter as u64,
+                },
+            );
+            clocks[tid] = release + work;
+            worker.emit_at(
+                clocks[tid],
+                Event::TaskRetire {
+                    epoch: inv as u32,
+                    task: iter as u64,
+                },
+            );
+            finish_times.push(clocks[tid]);
+            stats.add_task();
         }
         sinks
             .manager
@@ -637,38 +492,6 @@ mod tests {
         assert!(domore(&w, 4, &mut RoundRobin, &CostModel::default())
             .trace
             .is_none());
-    }
-
-    #[test]
-    fn steady_invocations_replay_from_the_memo() {
-        use crossinvoc_runtime::trace::TraceReport;
-        // Scheduler-bound, identical stream every invocation, iteration
-        // count divisible by the worker count: invocation 0 seeds the
-        // fingerprint, 1 records, 2.. replay at half the scheduling cost.
-        let w = UniformWorkload::same_cell(50, 16, 1_000).with_sched_cost(900);
-        let on = domore_traced(&w, 8, &mut RoundRobin, &CostModel::default(), Some(1 << 15));
-        let off = domore_configured(&w, 8, &mut RoundRobin, &CostModel::default(), None, false);
-        assert_eq!(on.stats.schedule_cache_hits, 48);
-        assert_eq!(off.stats.schedule_cache_hits, 0);
-        assert_eq!(on.stats.tasks, off.stats.tasks);
-        assert_eq!(on.stats.sync_conditions, off.stats.sync_conditions);
-        assert!(
-            on.total_ns < off.total_ns,
-            "replay must relieve the scheduler bottleneck: {} vs {}",
-            on.total_ns,
-            off.total_ns
-        );
-        let report = TraceReport::from_trace(on.trace.as_ref().unwrap());
-        assert_eq!(report.schedule_cache_hits, 48);
-    }
-
-    #[test]
-    fn rotating_streams_never_replay() {
-        // Rotation period 40 exceeds the memo's MAX_PERIOD (32): the
-        // stream never promotes and every invocation schedules live.
-        let w = UniformWorkload::rotating(90, 40, 3_000);
-        let r = domore(&w, 4, &mut RoundRobin, &CostModel::default());
-        assert_eq!(r.stats.schedule_cache_hits, 0);
     }
 
     #[test]

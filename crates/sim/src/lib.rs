@@ -60,9 +60,7 @@ pub mod workload;
 
 pub use barrier::{barrier, barrier_in_region, barrier_traced};
 pub use cost::CostModel;
-pub use domore::{
-    domore, domore_barriered, domore_configured, domore_duplicated, domore_in_region, domore_traced,
-};
+pub use domore::{domore, domore_barriered, domore_duplicated, domore_in_region, domore_traced};
 pub use inspector::inspector_executor;
 pub use pipeline::{doacross, dswp, StagedLoop};
 pub use result::SimResult;
@@ -76,8 +74,7 @@ pub mod prelude {
     pub use crate::barrier::{barrier, barrier_in_region, barrier_traced};
     pub use crate::cost::CostModel;
     pub use crate::domore::{
-        domore, domore_barriered, domore_configured, domore_duplicated, domore_in_region,
-        domore_traced,
+        domore, domore_barriered, domore_duplicated, domore_in_region, domore_traced,
     };
     pub use crate::inspector::inspector_executor;
     pub use crate::pipeline::{doacross, dswp, StagedLoop};

@@ -284,12 +284,6 @@ impl<S: AccessSignature> CheckerState<S> {
             }
         }
     }
-
-    /// Alias for [`CheckerState::retire_before`], kept for the pre-bucketed
-    /// name.
-    pub fn prune_before_epoch(&mut self, epoch: u32) {
-        self.retire_before(epoch);
-    }
 }
 
 #[cfg(test)]
@@ -397,7 +391,7 @@ mod tests {
         c.admit(req(0, 1, 0, &[(1, 0), (0, 0)], &[5]));
         c.admit(req(0, 2, 0, &[(2, 0), (0, 0)], &[6]));
         assert_eq!(c.logged(), 2);
-        c.prune_before_epoch(2);
+        c.retire_before(2);
         assert_eq!(c.logged(), 1);
     }
 

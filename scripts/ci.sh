@@ -23,6 +23,10 @@ run "$BUILD_TIMEOUT" cargo fmt --all -- --check
 run "$BUILD_TIMEOUT" cargo build --release --workspace
 run "$TEST_TIMEOUT" cargo test -q
 run "$TEST_TIMEOUT" cargo test -q --workspace
+# The wall-clock benchmark is its own package (perfbench/, separate
+# workspace) built against the library crates: test it so a library change
+# that breaks it fails CI rather than the benchmark run.
+run "$TEST_TIMEOUT" cargo test --release --offline --manifest-path perfbench/Cargo.toml
 run "$CLIPPY_TIMEOUT" cargo clippy --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" run "$BUILD_TIMEOUT" cargo doc --no-deps --workspace
 
@@ -71,8 +75,8 @@ run "$BENCH_TIMEOUT" cargo run --release -q -p crossinvoc-bench --bin bench-suit
   --validate target/figures/BENCH_3.json
 
 # Fast-path regression smoke: must produce a well-formed BENCH_5.json
-# (checker epoch-summary pruning + schedule memoization; the criteria run
-# at figure scale via `--fastpath` without `--smoke`, see EXPERIMENTS.md).
+# (checker epoch-summary pruning; the criteria run at figure scale via
+# `--fastpath` without `--smoke`, see EXPERIMENTS.md).
 run "$BENCH_TIMEOUT" cargo run --release -q -p crossinvoc-bench --bin bench-suite -- \
   --fastpath --smoke
 run "$BENCH_TIMEOUT" cargo run --release -q -p crossinvoc-bench --bin bench-suite -- \

@@ -522,7 +522,11 @@ fn event_from(
             skips: b,
             comparisons: c,
         },
-        12 => Event::ScheduleCacheHit { epoch },
+        12 => Event::CheckElided {
+            epoch,
+            tasks: b,
+            accesses: c,
+        },
         13 => Event::CheckerShard {
             shard: b as u32,
             shards: c as u32,
@@ -730,108 +734,6 @@ proptest! {
                 sharded.retire_before(e);
             }
         }
-    }
-}
-
-/// Drives `memo` + `logic` through one invocation of `stream`
-/// (per-iteration `(tid, writes, reads)`), collecting the dispatched
-/// `(tid, iter_num, conds)` tuples exactly as the runtime would: replay
-/// when the memo offers it, verified per iteration, with shadow catch-up on
-/// divergence.
-#[allow(clippy::type_complexity)]
-fn run_memoized(
-    memo: &mut crossinvoc_domore::ScheduleMemo,
-    logic: &mut SchedulerLogic,
-    stream: &[(usize, Vec<usize>, Vec<usize>)],
-) -> (Vec<(usize, u64, Vec<SyncCondition>)>, bool) {
-    use crossinvoc_domore::ReplayStep;
-    let base = logic.next_iter_num();
-    let mut out = Vec::new();
-    let mut iter = 0;
-    if memo.begin_invocation(stream.len(), base, true) {
-        while iter < stream.len() {
-            let (tid, ref writes, ref reads) = stream[iter];
-            match memo.replay_step(iter, writes, reads, tid) {
-                ReplayStep::Match {
-                    tid,
-                    iter_num,
-                    conds,
-                } => {
-                    out.push((tid, iter_num, conds.to_vec()));
-                    iter += 1;
-                }
-                ReplayStep::Diverged => {
-                    // Catch the shadow up over the already-dispatched
-                    // prefix, discarding its (already-correct) conditions.
-                    let mut scratch = Vec::new();
-                    for (k, (_, w, r)) in stream.iter().enumerate().take(iter) {
-                        scratch.clear();
-                        let _ = logic.schedule_rw(memo.recorded_tid(k), w, r, &mut scratch);
-                    }
-                    break;
-                }
-            }
-        }
-    }
-    while iter < stream.len() {
-        let (tid, ref writes, ref reads) = stream[iter];
-        let mut conds = Vec::new();
-        let iter_num = logic.schedule_rw(tid, writes, reads, &mut conds);
-        memo.record_step(writes, reads, tid, &conds);
-        out.push((tid, iter_num, conds));
-        iter += 1;
-    }
-    let hit = memo.end_invocation(logic);
-    (out, hit)
-}
-
-proptest! {
-    /// Cross-invocation schedule memoization is *transparent*: over any
-    /// randomized steady stream — arbitrary per-iteration read/write sets
-    /// and worker placements, repeated across invocations with one randomly
-    /// perturbed invocation in the middle — the memo-driven scheduler emits
-    /// byte-identical `(tid, iter_num, conditions)` streams to a plain
-    /// [`SchedulerLogic`] that never memoizes, through warm-up, replay,
-    /// mid-replay divergence and re-warming alike.
-    #[test]
-    fn memoized_schedule_is_byte_identical_to_recomputation(
-        workers in 1usize..4,
-        raw in prop::collection::vec(
-            (any::<u64>(),
-             prop::collection::vec(0usize..16, 0..3),
-             prop::collection::vec(0usize..16, 0..3)),
-            2..24),
-        divergence in any::<u64>(),
-    ) {
-        let stream: Vec<(usize, Vec<usize>, Vec<usize>)> = raw
-            .into_iter()
-            .map(|(t, w, r)| ((t % workers as u64) as usize, w, r))
-            .collect();
-        let mut memo = crossinvoc_domore::ScheduleMemo::new();
-        let mut logic = SchedulerLogic::with_dense_shadow(16);
-        let mut reference = SchedulerLogic::with_dense_shadow(16);
-        let mut hits = 0u64;
-        for inv in 0..7usize {
-            // One invocation (picked by `divergence`) perturbs a single
-            // iteration's write set, exercising the fallback path.
-            let mut s = stream.clone();
-            if inv == (divergence % 7) as usize {
-                let k = (divergence >> 8) as usize % s.len();
-                s[k].1 = vec![(divergence >> 16) as usize % 16];
-            }
-            let (got, hit) = run_memoized(&mut memo, &mut logic, &s);
-            let want: Vec<(usize, u64, Vec<SyncCondition>)> = s
-                .iter()
-                .map(|(tid, writes, reads)| {
-                    let mut conds = Vec::new();
-                    let n = reference.schedule_rw(*tid, writes, reads, &mut conds);
-                    (*tid, n, conds)
-                })
-                .collect();
-            prop_assert_eq!(got, want, "invocation {} diverged", inv);
-            hits += u64::from(hit);
-        }
-        prop_assert_eq!(memo.hits(), hits);
     }
 }
 

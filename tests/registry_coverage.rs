@@ -133,3 +133,19 @@ fn profiles_are_deterministic_across_reconstruction() {
         assert_eq!(a.tasks, b.tasks, "{}", info.name);
     }
 }
+
+/// Fig. 5.1's scheduler bound: FLUIDANIMATE-1's scheduler spends 21.5% of
+/// a worker's time per iteration (Table 5.2), so a single scheduler thread
+/// caps its simulated DOMORE speedup at 1 / 0.215 ≈ 4.65× however many
+/// workers it feeds (§5.1).
+#[test]
+fn fluidanimate_domore_speedup_respects_the_scheduler_bound() {
+    let pair =
+        crossinvoc_bench::domore_pair(&registry::by_name("FLUIDANIMATE-1"), Scale::Figure, 24);
+    let bound = 1.0 / 0.215;
+    assert!(
+        pair.technique <= bound,
+        "FLUIDANIMATE-1 DOMORE speedup {:.2}x at 24 threads exceeds the scheduler bound {bound:.2}x",
+        pair.technique
+    );
+}

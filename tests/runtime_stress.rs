@@ -113,7 +113,7 @@ fn checker_pruning_is_safe_at_checkpoint_boundaries() {
         snapshot[tid] = (epoch, 0);
         assert!(state.admit(req(tid, epoch, 0, &snapshot, 5)).is_none());
     }
-    state.prune_before_epoch(8);
+    state.retire_before(8);
     // A new request racing with the epoch-8 leftover (worker 0's, observed
     // still in flight) must still be caught after pruning.
     let conflict = state.admit(req(1, 9, 1, &[(8, 0), (9, 1)], 5));
