@@ -575,7 +575,7 @@ struct MixedElide {
 
 impl MixedElide {
     fn proven(&self, inv: usize) -> bool {
-        inv % self.unproven_every != 0
+        !inv.is_multiple_of(self.unproven_every)
     }
 }
 

@@ -114,7 +114,7 @@ fn render(snap: &Json) -> String {
     }
     let _ = writeln!(
         out,
-        "{:>6}  {:<18} {:<8} {:>4}  {:>9}  {:>9}  {:>8}  {:>7}  {:>8}  {:>7}  {:>6}  {}",
+        "{:>6}  {:<18} {:<8} {:>4}  {:>9}  {:>9}  {:>8}  {:>7}  {:>8}  {:>7}  {:>6}  FLAG",
         "REGION",
         "KIND",
         "STATE",
@@ -126,7 +126,6 @@ fn render(snap: &Json) -> String {
         "MISSPEC%",
         "DEGRADE",
         "FAULTS",
-        "FLAG"
     );
     let empty = Vec::new();
     let regions = snap.get("regions").and_then(Json::as_arr).unwrap_or(&empty);

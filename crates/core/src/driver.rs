@@ -2,16 +2,20 @@
 //!
 //! Given a top-level loop nest, the driver:
 //!
-//! 1. profiles the outer loop's cross-invocation dependences on a training
-//!    run ([`crossinvoc_pir::pdg::ManifestProfile`], the 72.4%-style rates
-//!    of Fig. 3.1);
-//! 2. if conflicts are *rare*, builds a SPECCROSS plan and profiles its
-//!    minimum dependence distance for the speculative-range gate (§4.4);
-//! 3. if conflicts are *frequent* — speculation would thrash — builds a
-//!    DOMORE plan instead (the complementarity claim of §1.2);
-//! 4. falls back to barrier-synchronized parallel execution when the nest
+//! 1. if the region is SPECCROSS-shaped, builds a SPECCROSS plan and
+//!    profiles its minimum cross-epoch dependence distance on a training
+//!    run (§4.4); it speculates if no conflict manifested or the closest
+//!    one is at least as many tasks away as there are workers;
+//! 2. otherwise — conflicts near enough that the speculative-range gate
+//!    would serialize the region, the complementarity claim of §1.2 —
+//!    builds a DOMORE plan;
+//! 3. falls back to barrier-synchronized parallel execution when the nest
 //!    defeats both transformations, or to sequential execution when the
 //!    inner loops cannot be parallelized at all.
+//!
+//! The choice reads only the distance profile. The outer loop's
+//! cross-invocation manifest rate (the 72.4%-style rates of Fig. 3.1) is a
+//! diagnostic that [`Decision::manifest_rate`] computes on request.
 
 use std::fmt;
 
@@ -101,10 +105,6 @@ pub struct Report {
 #[derive(Debug, Clone)]
 pub struct AutoParallelizer {
     workers: usize,
-    /// Manifest-rate ceiling below which speculation is chosen (§4.4's
-    /// "high-confidence" threshold; the thesis' default partitions exactly
-    /// as Fig. 1.5 describes).
-    speculation_ceiling: f64,
     /// Profiling window, in epochs, for the dependence-distance profiler.
     profile_window: u32,
 }
@@ -114,15 +114,8 @@ impl AutoParallelizer {
     pub fn new(workers: usize) -> Self {
         Self {
             workers,
-            speculation_ceiling: 0.05,
             profile_window: 4,
         }
-    }
-
-    /// Overrides the speculation manifest-rate ceiling.
-    pub fn speculation_ceiling(mut self, ceiling: f64) -> Self {
-        self.speculation_ceiling = ceiling;
-        self
     }
 
     /// Plans the parallelization of the top-level loop `outer`.
@@ -139,13 +132,7 @@ impl AutoParallelizer {
             return Err(AutoError::NotATopLevelLoop(outer));
         }
 
-        // Step 1: profile the outer loop's cross-invocation dependences on
-        // a training run (diagnostic; reported on the decision).
-        let mut training = Memory::zeroed(program);
-        let manifest = ManifestProfile::collect(program, outer, &mut training);
-        let rate = manifest.max_rate();
-
-        // Step 2: if the region is SPECCROSS-shaped, profile its minimum
+        // Step 1: if the region is SPECCROSS-shaped, profile its minimum
         // dependence distance and apply §4.4's rule: speculate unless the
         // closest conflict is nearer than the worker count (the thesis'
         // default threshold) — such conflicts would gate speculation into
@@ -170,35 +157,35 @@ impl AutoParallelizer {
             return Ok(Decision {
                 program,
                 workers: self.workers,
-                manifest_rate: rate,
+                outer,
                 plan: Plan::SpecCross { plan, distance },
             });
         }
 
-        // Step 3: frequent/near conflicts — synchronize them precisely.
+        // Step 2: frequent/near conflicts — synchronize them precisely.
         if let Some(inner) = last_inner_loop(program, outer) {
             if let Ok(plan) = DomorePlan::build(program, outer, inner) {
                 return Ok(Decision {
                     program,
                     workers: self.workers,
-                    manifest_rate: rate,
+                    outer,
                     plan: Plan::Domore(plan),
                 });
             }
         }
-        // Step 4: fall back — barriers if the region is at least
+        // Step 3: fall back — barriers if the region is at least
         // inner-parallelizable, else sequential.
         match spec_plan {
             Some(plan) => Ok(Decision {
                 program,
                 workers: self.workers,
-                manifest_rate: rate,
+                outer,
                 plan: Plan::Barrier(plan),
             }),
             None => Ok(Decision {
                 program,
                 workers: self.workers,
-                manifest_rate: rate,
+                outer,
                 plan: Plan::Sequential,
             }),
         }
@@ -219,7 +206,7 @@ fn last_inner_loop(program: &Program, outer: StmtId) -> Option<StmtId> {
 pub struct Decision<'p> {
     program: &'p Program,
     workers: usize,
-    manifest_rate: f64,
+    outer: StmtId,
     plan: Plan<'p>,
 }
 
@@ -245,9 +232,16 @@ impl Decision<'_> {
         }
     }
 
-    /// The profiled cross-invocation manifest rate that drove the choice.
+    /// The outer loop's cross-invocation manifest rate: over the profiled
+    /// statement pairs, the highest share of outer iterations in which the
+    /// pair's dependence manifested ([`ManifestProfile::max_rate`]). A
+    /// diagnostic; the choice does not read it.
+    ///
+    /// Each call runs a full traced interpretation of the program on zeroed
+    /// training memory, as costly as a sequential run or more.
     pub fn manifest_rate(&self) -> f64 {
-        self.manifest_rate
+        let mut training = Memory::zeroed(self.program);
+        ManifestProfile::collect(self.program, self.outer, &mut training).max_rate()
     }
 
     /// The profiled speculative range, if the strategy is SPECCROSS.

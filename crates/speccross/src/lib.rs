@@ -19,6 +19,8 @@
 //! * [`shard`] — address-interleaved partitioning of the checker and the
 //!   merge rule for tasks whose signatures straddle shards.
 //! * [`profile`] — minimum dependence-distance profiling (§4.4).
+//! * `summary` (private) — per-epoch union trees that let the profiler
+//!   find a task's nearest conflicting predecessor in O(log) tests.
 //! * [`workload`] — the [`workload::SpecWorkload`] contract: epochs, tasks,
 //!   `spec_access` instrumentation, checkpointable state.
 //! * [`engine`] — the threaded engine: speculative passes, checkpoint
@@ -54,6 +56,7 @@ pub mod engine;
 pub mod position;
 pub mod profile;
 pub mod shard;
+mod summary;
 pub mod workload;
 
 pub use check::{CheckRequest, CheckerState, Conflict};

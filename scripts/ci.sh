@@ -27,7 +27,7 @@ run "$TEST_TIMEOUT" cargo test -q --workspace
 # workspace) built against the library crates: test it so a library change
 # that breaks it fails CI rather than the benchmark run.
 run "$TEST_TIMEOUT" cargo test --release --offline --manifest-path perfbench/Cargo.toml
-run "$CLIPPY_TIMEOUT" cargo clippy --all-targets -- -D warnings
+run "$CLIPPY_TIMEOUT" cargo clippy --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" run "$BUILD_TIMEOUT" cargo doc --no-deps --workspace
 
 # Docs ↔ CLI consistency: every `--flag` the prose mentions alongside one
